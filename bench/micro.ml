@@ -6,13 +6,14 @@
 open Bechamel
 open Toolkit
 
-(* A pre-built medium engine shared (read-only) by the query benches. *)
-let prepared_engine () =
+(* A pre-built medium engine shared (read-only) by the query benches;
+   the cache-miss rows get their own, since they keep observing. *)
+let prepared_engine ?stream_sketch () =
   let scale = { Harness.default_scale with steps = 20; step_size = 5_000 } in
   let w = Harness.load_workload ~scale ~dataset:"uniform" () in
   let config =
     Hsq.Config.make ~kappa:10 ~block_size:scale.block_size ~steps_hint:scale.steps
-      (Hsq.Config.Epsilon 0.01)
+      ?stream_sketch (Hsq.Config.Epsilon 0.01)
   in
   let eng, _ = Harness.build_engine ~config w in
   eng
@@ -66,6 +67,8 @@ let tests ~smoke =
   let qd = Hsq_sketch.Qdigest.create ~bits:30 ~k:1000 in
   let sp = Hsq_sketch.Sampler.create ~buffers:10 ~buffer_size:500 () in
   let eng = prepared_engine () in
+  let kll_eng = prepared_engine ~stream_sketch:`Kll () in
+  let miss_eng = prepared_engine () in
   let n = Hsq.Engine.total_size eng in
   let acc_seq = accurate_engine ~smoke () in
   let acc_par = accurate_engine ~smoke ~query_domains:4 () in
@@ -84,8 +87,22 @@ let tests ~smoke =
       (Staged.stage (fun () -> Hsq_sketch.Sampler.insert sp (Hsq_util.Xoshiro.int rng 1_000_000_000)));
     Test.make ~name:"stream-summary-extract"
       (Staged.stage (fun () -> ignore (Hsq.Engine.stream_summary eng)));
+    (* One insert before each extract, so KLL's flattened view is stale
+       every time: the sorted-tail merge, the level merge and the cursor
+       extraction all run. *)
+    Test.make ~name:"stream-summary-extract-kll-miss"
+      (Staged.stage (fun () ->
+           Hsq.Engine.observe kll_eng (Hsq_util.Xoshiro.int rng 1_000_000);
+           ignore (Hsq.Engine.stream_summary kll_eng)));
     Test.make ~name:"union-summary-build"
       (Staged.stage (fun () -> ignore (Hsq.Engine.union_summary eng)));
+    (* The write-then-query cost: every observe moves the cache key, so
+       each query re-extracts SS and re-merges TS against the cached
+       historical aggregate. *)
+    Test.make ~name:"union-summary-build-miss"
+      (Staged.stage (fun () ->
+           Hsq.Engine.observe miss_eng (Hsq_util.Xoshiro.int rng 1_000_000);
+           ignore (Hsq.Engine.union_summary miss_eng)));
     Test.make ~name:"quick-query"
       (Staged.stage (fun () -> ignore (Hsq.Engine.quick eng ~rank:(n / 2))));
     Test.make ~name:"accurate-query"
@@ -138,8 +155,8 @@ let run ?(smoke = false) () =
       Hashtbl.iter
         (fun name ols_result ->
           match Analyze.OLS.estimates ols_result with
-          | Some (est :: _) -> Printf.printf "%-28s %14.1f ns/op\n%!" name est
-          | Some [] | None -> Printf.printf "%-28s (no estimate)\n%!" name)
+          | Some (est :: _) -> Printf.printf "%-32s %14.1f ns/op\n%!" name est
+          | Some [] | None -> Printf.printf "%-32s (no estimate)\n%!" name)
         results)
     test_list;
   (* The query-path counters of the benched engine, as a smoke check

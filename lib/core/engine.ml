@@ -597,9 +597,16 @@ let sketch_label t = Stream_sketch.kind_label t.gk
 (* A private deep copy of the open step's KLL sketch (None under GK),
    taken under the propagation lock so it is snapshot-consistent with
    concurrent lane hand-offs.  Shard_group merges these to compose
-   fused stream summaries. *)
+   fused stream summaries.  The live levels are sorted in place first
+   (unobservable, see [Kll.sort_levels]), so the copy hands the merge
+   sorted runs and the next snapshot sorts only what arrived since. *)
 let kll_snapshot t =
-  with_prop t (fun () -> Option.map Hsq_sketch.Kll.copy (Stream_sketch.as_kll t.gk))
+  with_prop t (fun () ->
+      Option.map
+        (fun k ->
+          Hsq_sketch.Kll.sort_levels k;
+          Hsq_sketch.Kll.copy k)
+        (Stream_sketch.as_kll t.gk))
 
 (* The cached historical aggregate, rebuilt only when the level index's
    epoch moved since it was computed (partition add / merge / expire /

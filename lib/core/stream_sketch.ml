@@ -41,7 +41,7 @@ let memory_words = function
   | Gk g -> Gk_impl.memory_words g
   | Kll k -> Kll_impl.memory_words k
 
-let query_rank = function Gk g -> Gk_impl.query_rank g | Kll k -> Kll_impl.query_rank k
+let query_ranks = function Gk g -> Gk_impl.query_ranks g | Kll k -> Kll_impl.query_ranks k
 let rank_of = function Gk g -> Gk_impl.rank_of g | Kll k -> Kll_impl.rank_of k
 let min_value = function Gk g -> Gk_impl.min_value g | Kll k -> Kll_impl.min_value k
 let max_value = function Gk g -> Gk_impl.max_value g | Kll k -> Kll_impl.max_value k

@@ -29,7 +29,11 @@ val size : t -> int
 val epsilon : t -> float
 val error_bound : t -> float
 val memory_words : t -> int
-val query_rank : t -> int -> int
+val query_ranks : t -> int array -> int array
+(** Values answering a non-decreasing vector of ranks, in one cursor
+    pass over the sketch (see [Gk.query_ranks], [Kll.query_ranks]).
+    Raises [Invalid_argument] on an empty sketch or a decreasing rank. *)
+
 val rank_of : t -> int -> int
 val min_value : t -> int
 val max_value : t -> int

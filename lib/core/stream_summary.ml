@@ -1,8 +1,10 @@
 (* The stream summary SS (Algorithm 4).
 
-   Extracted on demand from the Greenwald-Khanna sketch: SS[0] is the
-   exact stream minimum and SS[i] is an element returned by a GK query
-   at rank ~ (i + 1/2) * eps2 * m.  The underlying sketch runs at eps2/2
+   Extracted on demand from the stream sketch: SS[0] is the exact
+   stream minimum and SS[i] is an element returned by a sketch query
+   at rank ~ (i + 1/2) * eps2 * m.  The target ranks are non-decreasing
+   in i, so all interior entries come from one [Stream_sketch.query_ranks]
+   cursor pass, O(S + beta2).  The underlying sketch runs at eps2/2
    precision, so each returned element's true rank provably lies inside
    [target - eps2*m/2, target + eps2*m/2] — the one-sided interval of
    Lemma 1, up to integer rounding.
@@ -34,32 +36,32 @@ let extract gk =
     let fm = float_of_int m in
     let spacing = eps2 *. fm in
     let slack = (gk_eps *. fm) +. 1.0 (* GK guarantee + integer rounding *) in
+    (* Interior targets; index i - 1 holds entry i's rank. *)
+    let ranks =
+      Array.init (b2 - 2) (fun k ->
+          let target = (float_of_int (k + 1) +. 0.5) *. spacing in
+          min m (max 1 (int_of_float (Float.round target))))
+    in
+    let answers = Stream_sketch.query_ranks gk ranks in
     let values = Array.make b2 0 in
     let rlo = Array.make b2 0.0 in
     let rhi = Array.make b2 0.0 in
-    for i = 0 to b2 - 1 do
-      if i = 0 then begin
-        (* Exact minimum: rank is at least 1 (and up to its multiplicity,
-           about which the sketch knows nothing). *)
-        values.(0) <- Stream_sketch.min_value gk;
-        rlo.(0) <- 1.0;
-        rhi.(0) <- fm
-      end
-      else if i = b2 - 1 then begin
-        (* Exact maximum: rank(max, R) = m by definition, which pins the
-           upper end of every bound exactly. *)
-        values.(i) <- Stream_sketch.max_value gk;
-        rlo.(i) <- fm;
-        rhi.(i) <- fm
-      end
-      else begin
-        let target = (float_of_int i +. 0.5) *. spacing in
-        let r = min m (max 1 (int_of_float (Float.round target))) in
-        values.(i) <- Stream_sketch.query_rank gk r;
-        rlo.(i) <- Float.max 0.0 (float_of_int r -. slack);
-        rhi.(i) <- Float.min fm (float_of_int r +. slack)
-      end
+    (* Exact minimum: rank is at least 1 (and up to its multiplicity,
+       about which the sketch knows nothing). *)
+    values.(0) <- Stream_sketch.min_value gk;
+    rlo.(0) <- 1.0;
+    rhi.(0) <- fm;
+    for i = 1 to b2 - 2 do
+      let r = ranks.(i - 1) in
+      values.(i) <- answers.(i - 1);
+      rlo.(i) <- Float.max 0.0 (float_of_int r -. slack);
+      rhi.(i) <- Float.min fm (float_of_int r +. slack)
     done;
+    (* Exact maximum: rank(max, R) = m by definition, which pins the
+       upper end of every bound exactly. *)
+    values.(b2 - 1) <- Stream_sketch.max_value gk;
+    rlo.(b2 - 1) <- fm;
+    rhi.(b2 - 1) <- fm;
     (* Entry values are non-decreasing, so their true ranks are too;
        propagating lower bounds forward and upper bounds backward is
        therefore sound, only tightens, and restores the monotonicity
@@ -77,8 +79,6 @@ let size t = Array.length t.values
 let stream_size t = t.m
 let eps2 t = t.eps2
 let values t = t.values
-let intervals t = Array.init (size t) (fun i -> (t.rlo.(i), t.rhi.(i)))
-let memory_words t = 4 + (3 * Array.length t.values)
 
 (* alpha_S of Lemma 2: number of summary entries <= v. *)
 let count_le t v =
@@ -91,25 +91,22 @@ let count_le t v =
   in
   go 0 (Array.length a)
 
-(* Lower bound on rank(v, R): SS[0] is the exact minimum, so alpha_S = 0
-   implies no stream element is <= v; otherwise rank(v) >= rank of the
-   largest entry <= v, which is at least its stored rlo. *)
-let rank_lower t v =
-  if t.m = 0 then 0.0
-  else begin
-    let a = count_le t v in
-    if a = 0 then 0.0 else t.rlo.(a - 1)
-  end
+(* Lower bound on rank(v, R) for any v with alpha_S = a: SS[0] is the
+   exact minimum, so a = 0 implies no stream element is <= v; otherwise
+   rank(v) >= rank of the largest entry <= v, which is at least its
+   stored rlo. *)
+let lower_at t a = if t.m = 0 || a = 0 then 0.0 else t.rlo.(a - 1)
 
-(* Upper bound: elements <= v are a subset of elements < SS[alpha_S]
-   (the smallest entry > v), whose count is at most that entry's rhi;
-   when every entry is <= v the bound is m. *)
-let rank_upper t v =
-  if t.m = 0 then 0.0
-  else begin
-    let a = count_le t v in
-    if a = 0 then 0.0 else if a = Array.length t.values then float_of_int t.m else t.rhi.(a)
-  end
+(* Upper bound: elements <= v are a subset of elements < SS[a] (the
+   smallest entry > v), whose count is at most that entry's rhi; when
+   every entry is <= v the bound is m. *)
+let upper_at t a =
+  if t.m = 0 || a = 0 then 0.0
+  else if a = Array.length t.values then float_of_int t.m
+  else t.rhi.(a)
+
+let rank_lower t v = lower_at t (count_le t v)
+let rank_upper t v = upper_at t (count_le t v)
 
 (* rho_2 of Algorithm 8 (lines 8-10): the midpoint of the feasible
    window; its error is at most half the window, i.e. O(eps2 * m). *)

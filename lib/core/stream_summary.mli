@@ -15,9 +15,6 @@ type t
     robust at the clamped tail entries. *)
 val extract : Stream_sketch.t -> t
 
-(** Per-entry guaranteed rank intervals [(rlo, rhi)]. *)
-val intervals : t -> (float * float) array
-
 val beta2 : eps2:float -> int
 val size : t -> int
 
@@ -26,10 +23,17 @@ val stream_size : t -> int
 
 val eps2 : t -> float
 val values : t -> int array
-val memory_words : t -> int
 
 (** α_S of Lemma 2. *)
 val count_le : t -> int -> int
+
+(** [lower_at t a] / [upper_at t a]: bounds on rank(v, R) for every
+    [v] with [count_le t v = a]. A merge cursor over {!values} knows [a]
+    without a search; [rank_lower t v] is [lower_at t (count_le t v)],
+    the same float, and likewise for [rank_upper]. *)
+val lower_at : t -> int -> float
+
+val upper_at : t -> int -> float
 
 (** Lower / upper bounds and the ρ₂ estimate on rank(v, R); all clamped
     to [0, m]. *)

@@ -25,14 +25,18 @@
    uncached query paths share one code path and produce bitwise
    identical entries. *)
 
-type entry = {
-  value : int;
-  lower : float; (* L_i: rank(value, T) >= lower *)
-  upper : float; (* U_i: rank(value, T) <= upper *)
-}
+type entry = { value : int; lower : float; upper : float }
 
+(* Struct of arrays: the bounds live in unboxed float arrays, so a build
+   allocates three arrays instead of a record and two boxed floats per
+   entry.  A build sizes them for every input value and fills the first
+   [size] slots (fewer when values repeat), rather than copying them to
+   size. *)
 type t = {
-  entries : entry array; (* sorted by value, distinct values *)
+  size : int;
+  values : int array; (* [0, size): sorted, distinct *)
+  lower : float array; (* L_i: rank(values.(i), T) >= lower.(i) *)
+  upper : float array; (* U_i: rank(values.(i), T) <= upper.(i) *)
   n_total : int; (* |T| = n + m *)
   m_stream : int;
   hist_elements : int;
@@ -48,23 +52,6 @@ type hist_agg = {
   base_hi : int; (* ...always (0, 0): entry 0 of a summary has index 0 *)
   agg_hist_elements : int;
 }
-
-let hist_agg_size agg = Array.length agg.hvalues
-let hist_agg_elements agg = agg.agg_hist_elements
-
-(* Bounds of the step function at any v: constant on [hvalues.(k-1),
-   hvalues.(k)), so it is the bounds recorded at the largest summary
-   value <= v (the base sums when v is below all of them). *)
-let hist_agg_bounds agg v =
-  let hv = agg.hvalues in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if hv.(mid) <= v then go (mid + 1) hi else go lo mid
-  in
-  let k = go 0 (Array.length hv) in
-  if k = 0 then (agg.base_lo, agg.base_hi) else (agg.hlo.(k - 1), agg.hhi.(k - 1))
 
 (* Minimal binary min-heap over (value, source) pairs, as in
    Kway_merge; ties break on source index for determinism. *)
@@ -187,18 +174,31 @@ let hist_aggregate ~partitions =
 
 (* --- TS construction --------------------------------------------------- *)
 
+let finish ~values ~lower ~upper size ~hist_elements ~m_stream =
+  {
+    size;
+    values;
+    lower;
+    upper;
+    n_total = hist_elements + m_stream;
+    m_stream;
+    hist_elements;
+  }
+
 (* Linear two-pointer merge of the aggregate's distinct values with the
-   stream summary's values, deduplicating in place.  The aggregate index
-   after consuming all its values <= v is exactly count_le(v), so the
-   historical bounds come from one array lookup; the stream bounds are
-   the same Stream_summary calls the direct build makes, keeping the
-   float arithmetic bitwise identical. *)
+   stream summary's values, deduplicating in place.  Once every value
+   <= v is consumed, each cursor sits at its side's count_le(v): the
+   historical bounds are one array lookup at the aggregate cursor, and
+   the stream bounds are [Stream_summary.lower_at]/[upper_at] at the
+   stream cursor — the same floats [rank_lower]/[rank_upper] would
+   compute after a binary search. *)
 let build_from_agg ~agg ~stream =
   let hv = agg.hvalues in
   let sv = Stream_summary.values stream in
   let nh = Array.length hv and ns = Array.length sv in
-  let m_stream = Stream_summary.stream_size stream in
-  let out = Array.make (max 1 (nh + ns)) { value = 0; lower = 0.0; upper = 0.0 } in
+  let cap = max 1 (nh + ns) in
+  let values = Array.make cap 0 in
+  let lower = Array.make cap 0.0 and upper = Array.make cap 0.0 in
   let i = ref 0 and j = ref 0 and n = ref 0 in
   while !i < nh || !j < ns do
     let v =
@@ -209,23 +209,15 @@ let build_from_agg ~agg ~stream =
     in
     while !i < nh && hv.(!i) = v do incr i done;
     while !j < ns && sv.(!j) = v do incr j done;
-    let hlo_v, hhi_v =
-      if !i = 0 then (agg.base_lo, agg.base_hi) else (agg.hlo.(!i - 1), agg.hhi.(!i - 1))
-    in
-    out.(!n) <-
-      {
-        value = v;
-        lower = float_of_int hlo_v +. Stream_summary.rank_lower stream v;
-        upper = float_of_int hhi_v +. Stream_summary.rank_upper stream v;
-      };
+    let hlo_v = if !i = 0 then agg.base_lo else agg.hlo.(!i - 1) in
+    let hhi_v = if !i = 0 then agg.base_hi else agg.hhi.(!i - 1) in
+    values.(!n) <- v;
+    lower.(!n) <- float_of_int hlo_v +. Stream_summary.lower_at stream !j;
+    upper.(!n) <- float_of_int hhi_v +. Stream_summary.upper_at stream !j;
     incr n
   done;
-  {
-    entries = Array.sub out 0 !n;
-    n_total = agg.agg_hist_elements + m_stream;
-    m_stream;
-    hist_elements = agg.agg_hist_elements;
-  }
+  finish ~values ~lower ~upper !n ~hist_elements:agg.agg_hist_elements
+    ~m_stream:(Stream_summary.stream_size stream)
 
 let build ~partitions ~stream = build_from_agg ~agg:(hist_aggregate ~partitions) ~stream
 
@@ -237,7 +229,9 @@ let build ~partitions ~stream = build_from_agg ~agg:(hist_aggregate ~partitions)
    Lemma 2 bounds — each shard's sketch brackets its own rank, so the
    sums bracket the union rank, and the per-entry window widens only to
    Σ_s ε₂·m_s = ε₂·m when every shard runs the same ε₂ (the additive
-   budget DESIGN.md §14 relies on).  [streams = [s]] produces entries
+   budget DESIGN.md §14 relies on).  As in [build_from_agg], each
+   stream's bounds are read at its cursor, which is that stream's
+   count_le(v) once v is consumed.  [streams = [s]] produces entries
    equal to [build_from_agg ~agg ~stream:s]. *)
 let build_fused ~agg ~streams =
   let streams = Array.of_list streams in
@@ -255,7 +249,9 @@ let build_fused ~agg ~streams =
   for src = 0 to k do
     if Array.length (arr src) > 0 then Heap.push heap { Heap.value = (arr src).(0); src }
   done;
-  let out = Array.make (max 1 total_values) { value = 0; lower = 0.0; upper = 0.0 } in
+  let cap = max 1 total_values in
+  let values = Array.make cap 0 in
+  let lower = Array.make cap 0.0 and upper = Array.make cap 0.0 in
   let n = ref 0 in
   while not (Heap.is_empty heap) do
     let v = heap.Heap.data.(0).Heap.value in
@@ -267,32 +263,40 @@ let build_fused ~agg ~streams =
       pos.(src) <- !i;
       if !i < Array.length a then Heap.push heap { Heap.value = a.(!i); src }
     done;
-    let hlo_v, hhi_v =
-      if pos.(0) = 0 then (agg.base_lo, agg.base_hi) else (agg.hlo.(pos.(0) - 1), agg.hhi.(pos.(0) - 1))
-    in
+    let a = pos.(0) in
+    let hlo_v = if a = 0 then agg.base_lo else agg.hlo.(a - 1) in
+    let hhi_v = if a = 0 then agg.base_hi else agg.hhi.(a - 1) in
     let slo = ref 0.0 and shi = ref 0.0 in
     for s = 0 to k - 1 do
-      slo := !slo +. Stream_summary.rank_lower streams.(s) v;
-      shi := !shi +. Stream_summary.rank_upper streams.(s) v
+      slo := !slo +. Stream_summary.lower_at streams.(s) pos.(s + 1);
+      shi := !shi +. Stream_summary.upper_at streams.(s) pos.(s + 1)
     done;
-    out.(!n) <- { value = v; lower = float_of_int hlo_v +. !slo; upper = float_of_int hhi_v +. !shi };
+    values.(!n) <- v;
+    lower.(!n) <- float_of_int hlo_v +. !slo;
+    upper.(!n) <- float_of_int hhi_v +. !shi;
     incr n
   done;
-  {
-    entries = Array.sub out 0 !n;
-    n_total = agg.agg_hist_elements + m_total;
-    m_stream = m_total;
-    hist_elements = agg.agg_hist_elements;
-  }
+  finish ~values ~lower ~upper !n ~hist_elements:agg.agg_hist_elements ~m_stream:m_total
 
-let entries t = t.entries
-let size t = Array.length t.entries
+let entries t =
+  Array.init t.size (fun i -> { value = t.values.(i); lower = t.lower.(i); upper = t.upper.(i) })
+
+let size t = t.size
 let n_total t = t.n_total
 let m_stream t = t.m_stream
 let hist_elements t = t.hist_elements
 
-(* Entry-for-entry equality (exact float comparison): the consistency
-   contract between cached and fresh builds checked by the fuzz suite. *)
+(* Smallest i in [0, n) with [pred i], for a predicate monotone in i
+   (= n when none). *)
+let first_index n pred =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if pred mid then go lo mid else go (mid + 1) hi
+  in
+  go 0 n
+
 (* Rank window of an arbitrary value against the union: L from the
    largest entry with value <= v (no smaller entry can push the rank
    lower), U from the smallest entry with value >= v.  Used to compute
@@ -300,56 +304,42 @@ let hist_elements t = t.hist_elements
    is cut short (deadline, degraded fallback): |rank(v) - r| is at most
    max(U(v) - r, r - L(v)). *)
 let rank_window t v =
-  let n = Array.length t.entries in
+  let n = size t in
   if n = 0 then invalid_arg "Union_summary.rank_window: empty summary";
-  (* smallest i with value >= v (= n when none). *)
-  let first_ge =
-    let rec go lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if t.entries.(mid).value >= v then go lo mid else go (mid + 1) hi
-    in
-    go 0 n
-  in
+  let first_ge = first_index n (fun i -> t.values.(i) >= v) in
   let lower =
-    if first_ge < n && t.entries.(first_ge).value = v then t.entries.(first_ge).lower
+    if first_ge < n && t.values.(first_ge) = v then t.lower.(first_ge)
     else if first_ge = 0 then 0.0 (* below the union minimum *)
-    else t.entries.(first_ge - 1).lower
+    else t.lower.(first_ge - 1)
   in
   let upper =
     if first_ge = n then float_of_int t.n_total (* above the union maximum *)
-    else t.entries.(first_ge).upper
+    else t.upper.(first_ge)
   in
   (lower, upper)
 
+(* Entry-for-entry equality (exact float comparison): the consistency
+   contract between cached and fresh builds checked by the fuzz suite. *)
 let equal a b =
+  let rec same i =
+    i = a.size
+    || a.values.(i) = b.values.(i)
+       && (a.lower.(i) : float) = b.lower.(i)
+       && (a.upper.(i) : float) = b.upper.(i)
+       && same (i + 1)
+  in
   a.n_total = b.n_total && a.m_stream = b.m_stream
   && a.hist_elements = b.hist_elements
-  && Array.length a.entries = Array.length b.entries
-  && (let ok = ref true in
-      Array.iteri
-        (fun i (e : entry) ->
-          let f = b.entries.(i) in
-          if not (e.value = f.value && e.lower = f.lower && e.upper = f.upper) then ok := false)
-        a.entries;
-      !ok)
+  && a.size = b.size && same 0
 
-(* Algorithm 5: the smallest j with L_j >= r, else the last entry. *)
+(* Algorithm 5: the smallest j with L_j >= r, else the last entry.
+   L is non-decreasing in the value, so binary search applies. *)
 let quick_select t ~rank =
-  if Array.length t.entries = 0 then invalid_arg "Union_summary.quick_select: empty summary";
+  let n = size t in
+  if n = 0 then invalid_arg "Union_summary.quick_select: empty summary";
   let r = float_of_int rank in
-  let n = Array.length t.entries in
-  (* L is non-decreasing in the value, so binary search applies. *)
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if t.entries.(mid).lower >= r then go lo mid else go (mid + 1) hi
-  in
-  let j = go 0 n in
-  let j = if j = n then n - 1 else j in
-  t.entries.(j).value
+  let j = first_index n (fun i -> t.lower.(i) >= r) in
+  t.values.(if j = n then n - 1 else j)
 
 (* Algorithm 7 (GenerateFilters): values u <= v bracketing the element
    of the requested rank: rank(u, T) <= r <= rank(v, T).
@@ -357,32 +347,14 @@ let quick_select t ~rank =
    u is the largest entry with U <= r; if every U exceeds r, any value
    below the global minimum works, so we use min - 1.  v is the
    smallest entry with L >= r; since L of the last entry is >= N - eps*N
-   and r <= N, the last entry is a safe fallback. *)
+   and r <= N, the last entry is a safe fallback.  Both L and U are
+   non-decreasing in the value, so both are binary searches. *)
 let filters t ~rank =
-  if Array.length t.entries = 0 then invalid_arg "Union_summary.filters: empty summary";
+  let n = size t in
+  if n = 0 then invalid_arg "Union_summary.filters: empty summary";
   let r = float_of_int rank in
-  let n = Array.length t.entries in
-  (* Both L and U are non-decreasing in the value, so binary search. *)
-  let first_upper_gt =
-    (* smallest i with U_i > r (= n when none) *)
-    let rec go lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if t.entries.(mid).upper > r then go lo mid else go (mid + 1) hi
-    in
-    go 0 n
-  in
-  let u = if first_upper_gt = 0 then t.entries.(0).value - 1 else t.entries.(first_upper_gt - 1).value in
-  let first_lower_ge =
-    (* smallest i with L_i >= r (= n when none) *)
-    let rec go lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if t.entries.(mid).lower >= r then go lo mid else go (mid + 1) hi
-    in
-    go 0 n
-  in
-  let v = if first_lower_ge = n then t.entries.(n - 1).value else t.entries.(first_lower_ge).value in
+  let first_upper_gt = first_index n (fun i -> t.upper.(i) > r) in
+  let u = if first_upper_gt = 0 then t.values.(0) - 1 else t.values.(first_upper_gt - 1) in
+  let first_lower_ge = first_index n (fun i -> t.lower.(i) >= r) in
+  let v = if first_lower_ge = n then t.values.(n - 1) else t.values.(first_lower_ge) in
   (u, max u v)

@@ -24,17 +24,9 @@ type hist_agg
 (** Merge the given partitions' summaries into an aggregate. *)
 val hist_aggregate : partitions:Hsq_hist.Partition.t list -> hist_agg
 
-(** Number of distinct summary values in the aggregate. *)
-val hist_agg_size : hist_agg -> int
-
-(** Total elements in the aggregated partitions. *)
-val hist_agg_elements : hist_agg -> int
-
-(** [(Σ lower_P v, Σ upper_P v)] for any value [v]; one binary search. *)
-val hist_agg_bounds : hist_agg -> int -> int * int
-
 (** Merge a (pre-built) historical aggregate with a fresh stream
-    summary — the steady-state query path, linear in both sizes. *)
+    summary — the steady-state query path, one linear pass over both
+    value arrays; each side's bounds are read at its merge cursor. *)
 val build_from_agg : agg:hist_agg -> stream:Stream_summary.t -> t
 
 (** [build ~partitions ~stream] is
@@ -53,7 +45,11 @@ val build : partitions:Hsq_hist.Partition.t list -> stream:Stream_summary.t -> t
     entries as [build_from_agg ~agg ~stream:s]. *)
 val build_fused : agg:hist_agg -> streams:Stream_summary.t list -> t
 
+(** The entries as records, in value order. A copy: [t] itself is
+    stored as three parallel arrays (values, unboxed lower and upper
+    bounds). *)
 val entries : t -> entry array
+
 val size : t -> int
 
 (** Entry-for-entry equality, comparing floats exactly — the cache

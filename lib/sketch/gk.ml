@@ -215,6 +215,31 @@ let query_rank t r =
   in
   go 0 0
 
+(* [query_rank] for a whole non-decreasing rank vector in one pass: the
+   threshold r - eps*n only grows with r, so the answering tuple index
+   does too, and one cursor carrying the running rmin replaces a scan
+   from tuple 0 per rank.  The stopping test is [query_rank]'s, so the
+   answers are the same. *)
+let query_ranks t ranks =
+  if t.n = 0 then invalid_arg "Gk.query_ranks: empty sketch";
+  let slack = t.epsilon *. float_of_int t.n in
+  let last = t.size - 1 in
+  let i = ref 0 and rmin = ref t.tuples.(0).g in
+  let out = Array.make (Array.length ranks) 0 in
+  Array.iteri
+    (fun k r ->
+      if k > 0 && r < ranks.(k - 1) then
+        invalid_arg "Gk.query_ranks: ranks must be non-decreasing";
+      let r = if r < 1 then 1 else if r > t.n then t.n else r in
+      let lo = float_of_int r -. slack in
+      while !i < last && float_of_int !rmin < lo do
+        incr i;
+        rmin := !rmin + t.tuples.(!i).g
+      done;
+      out.(k) <- t.tuples.(!i).value)
+    ranks;
+  out
+
 (* Estimated rank of v: midpoint of [rmin, rmax] of the last tuple <= v. *)
 let rank_of t v =
   if t.n = 0 then 0

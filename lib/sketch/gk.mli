@@ -42,6 +42,12 @@ val memory_words : t -> int
     [1, n]). Raises [Invalid_argument] on an empty sketch. *)
 val query_rank : t -> int -> int
 
+(** [query_ranks t rs] is [Array.map (query_rank t) rs] for a
+    non-decreasing [rs], in one O(size + length rs) cursor pass instead
+    of a scan per rank. Raises [Invalid_argument] on an empty sketch or
+    a decreasing rank. *)
+val query_ranks : t -> int array -> int array
+
 (** Estimated rank of a value (midpoint of its bracketing tuple's rank
     interval); 0 for values below the minimum. *)
 val rank_of : t -> int -> int

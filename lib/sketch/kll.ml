@@ -37,7 +37,7 @@ let k_scale = 3.0
 type level = {
   mutable buf : int array;
   mutable len : int;
-  mutable sorted : bool; (* buf.[0,len) known sorted ascending *)
+  mutable sorted_len : int; (* buf.[0,sorted_len) sorted ascending; the rest in arrival order *)
   mutable sweep : int option; (* last value compacted this sweep round *)
   mutable coin : int; (* pair parity for the current sweep round *)
 }
@@ -59,7 +59,7 @@ type t = {
   mutable flat : (int array * int array) option;
 }
 
-let new_level () = { buf = [||]; len = 0; sorted = true; sweep = None; coin = 0 }
+let new_level () = { buf = [||]; len = 0; sorted_len = 0; sweep = None; coin = 0 }
 
 let header_words = 9
 let level_meta_words = 4
@@ -131,20 +131,73 @@ let next_coin t =
 
 let invalidate t = t.flat <- None
 
+let int_compare (a : int) b = compare a b
+
+(* [Array.blit] and [Array.sub] copy a major-heap array element by
+   element through the write barrier; on [int array]s a plain loop
+   does the same copy without it.  Overlapping copies to the left are
+   safe (the only in-place use). *)
+let blit_ints (src : int array) src_pos (dst : int array) dst_pos len =
+  for i = 0 to len - 1 do
+    dst.(dst_pos + i) <- src.(src_pos + i)
+  done
+
+let sub_ints src pos len =
+  let out = Array.make len 0 in
+  blit_ints src pos out 0 len;
+  out
+
+(* Merge the sorted run src.(first), src.(first + step), ... ([count]
+   items) into [dst.[0,dst_len)] (sorted, with room for the run behind
+   it), back to front, one pass. *)
+let merge_back ?(first = 0) ?(step = 1) (dst : int array) dst_len (src : int array) count =
+  let i = ref (dst_len - 1) and j = ref (count - 1) in
+  let pos = ref (dst_len + count - 1) in
+  while !j >= 0 do
+    let x = src.(first + (step * !j)) in
+    if !i >= 0 && dst.(!i) > x then begin
+      dst.(!pos) <- dst.(!i);
+      decr i
+    end
+    else begin
+      dst.(!pos) <- x;
+      decr j
+    end;
+    decr pos
+  done
+
+(* The level's unsorted tail, sorted: the only part that needs a sort. *)
+let sorted_tail lv =
+  let tail = sub_ints lv.buf lv.sorted_len (lv.len - lv.sorted_len) in
+  Array.sort int_compare tail;
+  tail
+
+(* Sort the level in place: sort the tail, merge it into the prefix.
+   Unobservable from outside — every reader of a level's order (compact,
+   merge, serialize, flatten) consumes it sorted anyway, and equal ints
+   are indistinguishable, so the sorted image is the same whatever order
+   the items arrived in. *)
 let ensure_sorted lv =
-  if not lv.sorted then begin
-    let live = Array.sub lv.buf 0 lv.len in
-    Array.sort compare live;
-    Array.blit live 0 lv.buf 0 lv.len;
-    lv.sorted <- true
+  if lv.sorted_len < lv.len then begin
+    let tail = sorted_tail lv in
+    merge_back lv.buf lv.sorted_len tail (Array.length tail);
+    lv.sorted_len <- lv.len
   end
 
-(* A fresh sorted array of the level's live items, without reordering
-   the level itself (keeps [merge] pure for its inputs). *)
-let sorted_snapshot lv =
-  let live = Array.sub lv.buf 0 lv.len in
-  if not lv.sorted then Array.sort compare live;
-  live
+let sort_levels t = Array.iter ensure_sorted t.levels
+
+(* The level's items in order, in [0, len) of the result: the level's
+   own buffer when wholly sorted, else a fresh array.  Never reorders
+   the level, which keeps [merge] and [serialize] pure. *)
+let sorted_view lv =
+  if lv.sorted_len = lv.len then lv.buf
+  else begin
+    let tail = sorted_tail lv in
+    let out = Array.make lv.len 0 in
+    blit_ints lv.buf 0 out 0 lv.sorted_len;
+    merge_back out lv.sorted_len tail (Array.length tail);
+    out
+  end
 
 let reserve lv extra =
   let needed = lv.len + extra in
@@ -154,30 +207,19 @@ let reserve lv extra =
       capacity := 2 * !capacity
     done;
     let bigger = Array.make !capacity 0 in
-    Array.blit lv.buf 0 bigger 0 lv.len;
+    blit_ints lv.buf 0 bigger 0 lv.len;
     lv.buf <- bigger
   end
 
-(* Merge a sorted run into a (sorted) level, back to front, one pass. *)
-let merge_run lv run =
-  let r = Array.length run in
-  if r > 0 then begin
+(* Merge a sorted run (read as [merge_back] reads it) into a level,
+   leaving it wholly sorted. *)
+let merge_run ?first ?step lv run count =
+  if count > 0 then begin
     ensure_sorted lv;
-    reserve lv r;
-    let i = ref (lv.len - 1) and j = ref (r - 1) in
-    let pos = ref (lv.len + r - 1) in
-    while !j >= 0 do
-      if !i >= 0 && lv.buf.(!i) > run.(!j) then begin
-        lv.buf.(!pos) <- lv.buf.(!i);
-        decr i
-      end
-      else begin
-        lv.buf.(!pos) <- run.(!j);
-        decr j
-      end;
-      decr pos
-    done;
-    lv.len <- lv.len + r
+    reserve lv count;
+    merge_back ?first ?step lv.buf lv.len run count;
+    lv.len <- lv.len + count;
+    lv.sorted_len <- lv.len
   end
 
 let add_level t = t.levels <- Array.append t.levels [| new_level () |]
@@ -218,11 +260,13 @@ let compact t h =
     let over = lv.len - cap t h in
     let avail = (lv.len - start) / 2 in
     let pairs = max 1 (min avail over) in
-    let promoted = Array.init pairs (fun i -> lv.buf.(start + (2 * i) + lv.coin)) in
+    (* The survivors, every other item from start + coin, go up before
+       their pairs are cut out. *)
+    merge_run ~first:(start + lv.coin) ~step:2 t.levels.(h + 1) lv.buf pairs;
     lv.sweep <- Some lv.buf.(start + (2 * pairs) - 1);
-    Array.blit lv.buf (start + (2 * pairs)) lv.buf start (lv.len - start - (2 * pairs));
+    blit_ints lv.buf (start + (2 * pairs)) lv.buf start (lv.len - start - (2 * pairs));
     lv.len <- lv.len - (2 * pairs);
-    merge_run t.levels.(h + 1) promoted
+    lv.sorted_len <- lv.len
   end
 
 let maybe_compress t =
@@ -272,9 +316,11 @@ let insert t v =
   note_bounds t v;
   let lv = t.levels.(0) in
   reserve lv 1;
-  if lv.len > 0 && lv.sorted && v < lv.buf.(lv.len - 1) then lv.sorted <- false;
+  (* An in-order arrival extends a wholly sorted level's prefix. *)
+  let extends = lv.sorted_len = lv.len && (lv.len = 0 || v >= lv.buf.(lv.len - 1)) in
   lv.buf.(lv.len) <- v;
   lv.len <- lv.len + 1;
+  if extends then lv.sorted_len <- lv.len;
   t.n <- t.n + 1;
   invalidate t;
   maybe_compress t;
@@ -286,37 +332,52 @@ let insert_sorted_batch t b =
   else if r > 0 then begin
     note_bounds t b.(0);
     note_bounds t b.(r - 1);
-    merge_run t.levels.(0) b;
+    merge_run t.levels.(0) b r;
     t.n <- t.n + r;
     invalidate t;
     maybe_compress t;
     enforce_budget t
   end
 
+(* The query view: every stored item in value order with the running
+   weight.  The levels are sorted runs (sorted in place first), so the
+   view is built by merging them in one at a time, back to front, into
+   [vals] with each item's weight alongside in [cum]; a final pass turns
+   the weights into running sums.  No pair array, no full sort.  The
+   order this gives equal values cannot change [query_rank] or
+   [rank_of], which read [cum] only at the end of a run of equal
+   values. *)
 let flatten t =
   match t.flat with
   | Some f -> f
   | None ->
+    sort_levels t;
     let total = size t in
-    let pairs = Array.make total (0, 0) in
-    let pos = ref 0 in
+    let vals = Array.make total 0 and cum = Array.make total 0 in
+    let filled = ref 0 in
     Array.iteri
       (fun h lv ->
-        let w = 1 lsl h in
-        for i = 0 to lv.len - 1 do
-          pairs.(!pos) <- (lv.buf.(i), w);
-          incr pos
-        done)
+        let w = 1 lsl h and buf = lv.buf in
+        let i = ref (!filled - 1) and j = ref (lv.len - 1) in
+        let pos = ref (!filled + lv.len - 1) in
+        while !j >= 0 do
+          if !i >= 0 && vals.(!i) > buf.(!j) then begin
+            vals.(!pos) <- vals.(!i);
+            cum.(!pos) <- cum.(!i);
+            decr i
+          end
+          else begin
+            vals.(!pos) <- buf.(!j);
+            cum.(!pos) <- w;
+            decr j
+          end;
+          decr pos
+        done;
+        filled := !filled + lv.len)
       t.levels;
-    Array.sort (fun (a, _) (b, _) -> compare a b) pairs;
-    let vals = Array.map fst pairs in
-    let cum = Array.make total 0 in
-    let acc = ref 0 in
-    Array.iteri
-      (fun i (_, w) ->
-        acc := !acc + w;
-        cum.(i) <- !acc)
-      pairs;
+    for i = 1 to total - 1 do
+      cum.(i) <- cum.(i) + cum.(i - 1)
+    done;
     t.flat <- Some (vals, cum);
     (vals, cum)
 
@@ -331,6 +392,26 @@ let query_rank t r =
     if cum.(mid) >= r then hi := mid else lo := mid + 1
   done;
   vals.(!lo)
+
+(* [query_rank] over a non-decreasing rank vector: the answering index
+   only moves forward, so one cursor over [cum] serves every rank. *)
+let query_ranks t ranks =
+  if t.n = 0 then invalid_arg "Kll.query_ranks: empty sketch";
+  let vals, cum = flatten t in
+  let last = Array.length cum - 1 in
+  let i = ref 0 in
+  let out = Array.make (Array.length ranks) 0 in
+  Array.iteri
+    (fun k r ->
+      if k > 0 && r < ranks.(k - 1) then
+        invalid_arg "Kll.query_ranks: ranks must be non-decreasing";
+      let r = max 1 (min t.n r) in
+      while !i < last && cum.(!i) < r do
+        incr i
+      done;
+      out.(k) <- vals.(!i))
+    ranks;
+  out
 
 let rank_of t v =
   if t.n = 0 then 0
@@ -359,7 +440,7 @@ let copy t =
     t with
     levels =
       Array.map
-        (fun lv -> { lv with buf = Array.sub lv.buf 0 lv.len; len = lv.len })
+        (fun lv -> { lv with buf = sub_ints lv.buf 0 lv.len })
         t.levels;
     flat = None;
   }
@@ -373,15 +454,19 @@ let merge a b =
       ((a.epsilon *. float_of_int a.n) +. (b.epsilon *. float_of_int b.n)) /. float_of_int n
     in
     let heights = max (num_levels a) (num_levels b) in
+    (* Level h of the result: the two inputs' level-h items merged into
+       one exactly sized buffer. *)
     let levels =
       Array.init heights (fun h ->
-          let items side =
-            if h < num_levels side then sorted_snapshot side.levels.(h) else [||]
+          let view side =
+            if h < num_levels side then (sorted_view side.levels.(h), side.levels.(h).len)
+            else ([||], 0)
           in
-          let lv = new_level () in
-          merge_run lv (items a);
-          merge_run lv (items b);
-          lv)
+          let va, na = view a and vb, nb = view b in
+          let buf = Array.make (na + nb) 0 in
+          blit_ints va 0 buf 0 na;
+          merge_back buf na vb nb;
+          { (new_level ()) with buf; len = na + nb; sorted_len = na + nb })
     in
     let t =
       {
@@ -409,10 +494,12 @@ let check_invariants t =
     (fun h lv ->
       if lv.len < 0 then problem "level %d: negative length" h;
       weight := !weight + (lv.len * (1 lsl h));
-      if lv.sorted then
-        for i = 1 to lv.len - 1 do
+      if lv.sorted_len < 0 || lv.sorted_len > lv.len then
+        problem "level %d: sorted prefix %d outside [0, %d]" h lv.sorted_len lv.len
+      else
+        for i = 1 to lv.sorted_len - 1 do
           if lv.buf.(i - 1) > lv.buf.(i) then
-            problem "level %d: marked sorted but buf[%d] > buf[%d]" h (i - 1) i
+            problem "level %d: sorted prefix but buf[%d] > buf[%d]" h (i - 1) i
         done;
       if t.n > 0 then
         for i = 0 to lv.len - 1 do
@@ -432,8 +519,8 @@ let check_invariants t =
 
 let serialize t =
   let heights = num_levels t in
-  let snapshots = Array.map sorted_snapshot t.levels in
-  let total = Array.fold_left (fun acc s -> acc + Array.length s) 0 snapshots in
+  let views = Array.map sorted_view t.levels in
+  let total = size t in
   let out = Array.make (header_words + (level_meta_words * heights) + total) 0 in
   out.(0) <- (match t.mode with Fixed -> 0 | Capped w -> w);
   out.(1) <- Int64.to_int (Int64.bits_of_float t.epsilon);
@@ -446,19 +533,19 @@ let serialize t =
   out.(8) <- heights;
   let pos = ref (header_words + (level_meta_words * heights)) in
   Array.iteri
-    (fun h snapshot ->
+    (fun h view ->
       let base = header_words + (level_meta_words * h) in
       let lv = t.levels.(h) in
-      out.(base) <- Array.length snapshot;
+      out.(base) <- lv.len;
       out.(base + 1) <- lv.coin;
       (match lv.sweep with
       | None -> ()
       | Some v ->
         out.(base + 2) <- 1;
         out.(base + 3) <- v);
-      Array.blit snapshot 0 out !pos (Array.length snapshot);
-      pos := !pos + Array.length snapshot)
-    snapshots;
+      blit_ints view 0 out !pos lv.len;
+      pos := !pos + lv.len)
+    views;
   out
 
 let deserialize data =
@@ -504,7 +591,7 @@ let deserialize data =
           | 1 -> Some data.(base + 3)
           | _ -> fail "level %d: bad sweep flag" h
         in
-        let buf = Array.sub data !pos len in
+        let buf = sub_ints data !pos len in
         pos := !pos + len;
         for i = 0 to len - 1 do
           if i > 0 && buf.(i - 1) > buf.(i) then fail "level %d: items not sorted" h;
@@ -512,7 +599,7 @@ let deserialize data =
             fail "level %d: item outside min/max envelope" h
         done;
         weight := !weight + (len * (1 lsl h));
-        { buf; len; sorted = true; sweep; coin })
+        { buf; len; sorted_len = len; sweep; coin })
   in
   if !weight <> n then fail "stored weight %d does not match count %d" !weight n;
   { k; epsilon; mode; coin_seed; coins; n; min_v; max_v; levels; flat = None }
@@ -525,8 +612,8 @@ let dump t =
   Array.iteri
     (fun h lv ->
       Buffer.add_string b
-        (Printf.sprintf "  level %d (w=%d, cap=%d, %s%s): %d items\n" h (1 lsl h) (cap t h)
-           (if lv.sorted then "sorted" else "unsorted")
+        (Printf.sprintf "  level %d (w=%d, cap=%d, sorted %d/%d%s): %d items\n" h (1 lsl h)
+           (cap t h) lv.sorted_len lv.len
            (match lv.sweep with None -> "" | Some v -> Printf.sprintf ", sweep@%d" v)
            lv.len))
     t.levels;

@@ -56,6 +56,12 @@ val query_rank : t -> int -> int
     [error_bound t * count t] of [r] (1-based; clamped to [1, count]).
     Raises [Invalid_argument] on an empty sketch. *)
 
+val query_ranks : t -> int array -> int array
+(** [query_ranks t rs] is [Array.map (query_rank t) rs] for a
+    non-decreasing [rs], answered by one cursor over the flattened
+    view.  Raises [Invalid_argument] on an empty sketch or a decreasing
+    rank. *)
+
 val rank_of : t -> int -> int
 (** Estimated number of observed elements [<= v]. *)
 
@@ -65,6 +71,12 @@ val min_value : t -> int
 
 val max_value : t -> int
 (** Exact maximum observed.  Raises [Invalid_argument] if empty. *)
+
+val sort_levels : t -> unit
+(** Sort every compactor level in place (each level keeps a sorted
+    prefix and an arrival-order tail; this sorts the tail and merges it
+    in).  Unobservable: no answer, serialized byte or future coin flip
+    changes.  Lets {!copy} and {!merge} of the result skip sorting. *)
 
 val copy : t -> t
 (** Deep copy; the copy's future coin flips replay the original's. *)
@@ -79,7 +91,8 @@ val merge : t -> t -> t
 val check_invariants : t -> string list
 (** Structural invariant violations (empty when healthy): weight
     conservation (sum of [2^level] over stored items equals [count]),
-    per-level sortedness, capacity compliance, and min/max envelope. *)
+    each level's sorted prefix ([0 <= sorted_len <= len], items in
+    order), capacity compliance, and min/max envelope. *)
 
 val serialize : t -> int array
 (** Checkpoint image: configuration, coin state, and every stored item.

@@ -305,6 +305,162 @@ let prop_merge_weight =
       let m = Kll.merge (feed ~seed 0.03 sa) (feed ~seed:(seed + 1) 0.03 sb) in
       Kll.count m = Array.length sa + Array.length sb && Kll.check_invariants m = [])
 
+(* --- sorted-prefix levels vs a sort-based reference ---------------------
+
+   Each level keeps a sorted prefix plus an arrival-order tail; queries
+   sort tails in place and flatten by merging sorted levels.  The
+   reference is a sort-based flatten: every stored (value, weight) pair,
+   read off the serialized image, in one [Array.sort] by value, then
+   running weights.  Equal values may land in any order there, which is
+   why only answers are compared. *)
+
+let reference_flatten kll =
+  let image = Kll.serialize kll in
+  let heights = image.(8) in
+  let pairs = ref [] in
+  let pos = ref (9 + (4 * heights)) in
+  for h = 0 to heights - 1 do
+    for _ = 1 to image.(9 + (4 * h)) do
+      pairs := (image.(!pos), 1 lsl h) :: !pairs;
+      incr pos
+    done
+  done;
+  let pairs = Array.of_list !pairs in
+  Array.sort (fun (a, _) (b, _) -> compare a b) pairs;
+  let acc = ref 0 in
+  let cum =
+    Array.map
+      (fun (_, w) ->
+        acc := !acc + w;
+        !acc)
+      pairs
+  in
+  (Array.map fst pairs, cum)
+
+let reference_query_rank (vals, cum) ~n r =
+  let r = max 1 (min n r) in
+  let lo = ref 0 and hi = ref (Array.length cum - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if cum.(mid) >= r then hi := mid else lo := mid + 1
+  done;
+  vals.(!lo)
+
+let reference_rank_of (vals, cum) v =
+  let lo = ref 0 and hi = ref (Array.length vals) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if vals.(mid) <= v then lo := mid + 1 else hi := mid
+  done;
+  if !lo = 0 then 0 else cum.(!lo - 1)
+
+(* A maker for a fixed or capped sketch, plus a random, sorted,
+   duplicate-heavy or reverse-sorted stream (gen_stream's shapes). *)
+let gen_sketch_case rng ~seed =
+  let fresh =
+    if Hsq_util.Xoshiro.int rng 2 = 0 then
+      let eps = [| 0.01; 0.03; 0.1 |].(Hsq_util.Xoshiro.int rng 3) in
+      fun () -> Kll.create ~seed ~epsilon:eps ()
+    else
+      let words = [| 64; 200; 1_000 |].(Hsq_util.Xoshiro.int rng 3) in
+      fun () -> Kll.create_capped ~seed ~words ()
+  in
+  (fresh, gen_stream rng (1 + Hsq_util.Xoshiro.int rng 6_000))
+
+(* Feed [data] into [probed] and [quiet] twins; [probed] answers queries
+   (which sort its levels in place) at random points, [quiet] never. *)
+let feed_twins rng ~probed ~quiet data =
+  Array.iter
+    (fun v ->
+      Kll.insert probed v;
+      Kll.insert quiet v;
+      match Hsq_util.Xoshiro.int rng 64 with
+      | 0 -> ignore (Kll.query_rank probed (1 + Hsq_util.Xoshiro.int rng (Kll.count probed)))
+      | 1 -> ignore (Kll.rank_of probed v)
+      | 2 -> Kll.sort_levels probed
+      | 3 -> ignore (Kll.copy probed)
+      | _ -> ())
+    data
+
+let prop_sorted_prefix_equiv =
+  QCheck.Test.make ~name:"sorted-prefix levels answer like a sort-based flatten"
+    ~count:(seed_count 20)
+    (QCheck.make qcheck_seed)
+    (fun seed ->
+      let rng = Hsq_util.Xoshiro.create (seed lxor 0x5EED) in
+      let fresh, data = gen_sketch_case rng ~seed in
+      let probed = fresh () and quiet = fresh () in
+      feed_twins rng ~probed ~quiet data;
+      let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_reportf "seed %d: %s" seed s) fmt in
+      if Kll.serialize probed <> Kll.serialize quiet then fail "queries changed the image";
+      if Kll.check_invariants probed <> [] || Kll.check_invariants quiet <> [] then
+        fail "invariants: %s" (String.concat "; " (Kll.check_invariants probed));
+      let n = Kll.count quiet in
+      let reference = reference_flatten quiet in
+      let ranks = Array.init (n + 2) (fun i -> i) in
+      let batch = Kll.query_ranks probed ranks in
+      Array.iter
+        (fun r ->
+          let want = reference_query_rank reference ~n r in
+          if Kll.query_rank probed r <> want then fail "query_rank %d" r;
+          if batch.(r) <> want then fail "query_ranks at %d" r)
+        ranks;
+      Array.iter
+        (fun v ->
+          List.iter
+            (fun v ->
+              if Kll.rank_of probed v <> reference_rank_of reference v then fail "rank_of %d" v)
+            [ v - 1; v; v + 1 ])
+        data;
+      (* Merging the probed twin (sorted in place) or the quiet one
+         (unsorted tails) gives the same sketch, and leaves both inputs
+         as they were. *)
+      let other_fresh, other_data = gen_sketch_case rng ~seed:(seed + 1) in
+      let other_probed = other_fresh () and other_quiet = other_fresh () in
+      feed_twins rng ~probed:other_probed ~quiet:other_quiet other_data;
+      let before = Kll.serialize quiet in
+      let m_probed = Kll.merge probed other_probed in
+      let m_quiet = Kll.merge quiet other_quiet in
+      if Kll.serialize m_probed <> Kll.serialize m_quiet then fail "merge images differ";
+      if Kll.serialize quiet <> before then fail "merge mutated its input";
+      let reference = reference_flatten m_quiet in
+      let n = Kll.count m_quiet in
+      for r = 1 to n do
+        if Kll.query_rank m_probed r <> reference_query_rank reference ~n r then
+          fail "merged query_rank %d" r
+      done;
+      (* Future behaviour is the same too: same suffix, same image. *)
+      Array.iter
+        (fun v ->
+          Kll.insert probed v;
+          Kll.insert quiet v)
+        other_data;
+      Kll.serialize probed = Kll.serialize quiet)
+
+(* The sorted-prefix bookkeeping through the public surface: random
+   inserts leave an unsorted tail that check_invariants accepts, a copy
+   leaves its original's tail alone, and sort_levels closes the tail
+   without changing the image. *)
+let test_sorted_prefix_invariants () =
+  let kll = Kll.create ~seed:9 ~epsilon:0.05 () in
+  Array.iter (Kll.insert kll) (Array.init 50 (fun i -> (i * 7919) mod 101));
+  Alcotest.(check (list string)) "unsorted tail accepted" [] (Kll.check_invariants kll);
+  let image = Kll.serialize kll in
+  let wholly_sorted () =
+    match Str.search_forward (Str.regexp_string "sorted 50/50") (Kll.dump kll) 0 with
+    | _ -> true
+    | exception Not_found -> false
+  in
+  Alcotest.(check bool) "tail pending" false (wholly_sorted ());
+  ignore (Kll.copy kll);
+  Alcotest.(check bool) "copy leaves the tail" false (wholly_sorted ());
+  Kll.sort_levels kll;
+  Alcotest.(check bool) "tail merged" true (wholly_sorted ());
+  Alcotest.(check (list string)) "sorted levels" [] (Kll.check_invariants kll);
+  Alcotest.(check bool) "image unchanged" true (Kll.serialize kll = image);
+  let restored = Kll.deserialize image in
+  Alcotest.(check string) "restored levels are wholly sorted" (Kll.dump kll) (Kll.dump restored)
+
 let () =
   Alcotest.run "kll"
     [
@@ -331,5 +487,10 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_insert_bound;
           QCheck_alcotest.to_alcotest prop_merge_weight;
+        ] );
+      ( "levels",
+        [
+          Alcotest.test_case "invariants and dump" `Quick test_sorted_prefix_invariants;
+          QCheck_alcotest.to_alcotest prop_sorted_prefix_equiv;
         ] );
     ]

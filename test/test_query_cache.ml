@@ -213,6 +213,196 @@ let test_parallel_answers_identical () =
   E.close seq;
   E.close par
 
+(* --- linear miss path vs per-rank / per-value references --------------
+
+   A cache miss extracts SS with one cursor pass over the sketch
+   ([Stream_sketch.query_ranks]) and merges it into TS reading each
+   side's bounds at its merge cursor.  These properties pin both to the
+   per-query code they replace: one [query_rank] per rank, and a
+   record-per-entry build with a binary search per value and side. *)
+
+module SS = Hsq.Stream_summary
+module SK = Hsq.Stream_sketch
+module PS = Hsq_hist.Partition_summary
+
+let qcheck_seed = QCheck.make (QCheck.Gen.int_range 0 0x3FFFFFFF)
+
+(* Random, sorted, reverse-sorted or duplicate-heavy values. *)
+let gen_stream rng len =
+  let shape = Hsq_util.Xoshiro.int rng 4 in
+  Array.init len (fun i ->
+      match shape with
+      | 0 -> gen_value rng
+      | 1 -> i * 3
+      | 2 -> 1_000_000 - i
+      | _ -> Hsq_util.Xoshiro.int rng 12)
+
+let gen_sketch rng =
+  let kind = if Hsq_util.Xoshiro.int rng 2 = 0 then `Gk else `Kll in
+  let seed = Hsq_util.Xoshiro.int rng 1_000 in
+  if Hsq_util.Xoshiro.int rng 2 = 0 then
+    SK.create ~seed ~kind ~epsilon:[| 0.0025; 0.01; 0.0625 |].(Hsq_util.Xoshiro.int rng 3) ()
+  else SK.create_capped ~seed ~kind ~words:[| 100; 400; 2_000 |].(Hsq_util.Xoshiro.int rng 3) ()
+
+let per_rank sk r =
+  match sk with SK.Gk g -> Hsq_sketch.Gk.query_rank g r | SK.Kll k -> Hsq_sketch.Kll.query_rank k r
+
+let prop_query_ranks_per_rank =
+  QCheck.Test.make ~name:"query_ranks equals per-rank query_rank" ~count:(seed_count 30)
+    qcheck_seed (fun seed ->
+      let rng = Hsq_util.Xoshiro.create seed in
+      let sk = gen_sketch rng in
+      Array.iter (SK.insert sk) (gen_stream rng (1 + Hsq_util.Xoshiro.int rng 8_000));
+      let n = SK.count sk in
+      (* Out-of-range ranks included: both paths clamp to [1, n]. *)
+      let ranks =
+        Array.init (1 + Hsq_util.Xoshiro.int rng 600) (fun _ ->
+            Hsq_util.Xoshiro.int rng (n + 4) - 2)
+      in
+      Array.sort compare ranks;
+      let got = SK.query_ranks sk ranks in
+      Array.iteri
+        (fun i r ->
+          if got.(i) <> per_rank sk r then
+            QCheck.Test.fail_reportf "seed %d (%s): rank %d -> %d, query_rank says %d" seed
+              (SK.kind_label sk) r got.(i) (per_rank sk r))
+        ranks;
+      true)
+
+let test_query_ranks_rejects_decreasing () =
+  List.iter
+    (fun kind ->
+      let sk = SK.create ~kind ~epsilon:0.01 () in
+      Array.iter (SK.insert sk) (Array.init 100 (fun i -> i));
+      match SK.query_ranks sk [| 5; 4 |] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s: decreasing ranks accepted" (SK.kind_label sk))
+    [ `Gk; `Kll ]
+
+(* The reference TS: every distinct value of the partition and stream
+   summaries, each with a binary search per partition and per stream. *)
+let reference_build ~partitions ~streams =
+  let summaries = List.map Hsq_hist.Partition.summary partitions in
+  let hist_values ps = Array.to_list (Array.map (fun (e : PS.entry) -> e.value) (PS.entries ps)) in
+  let values =
+    List.sort_uniq compare
+      (List.concat_map hist_values summaries
+      @ List.concat_map (fun ss -> Array.to_list (SS.values ss)) streams)
+  in
+  List.map
+    (fun v ->
+      let lo, hi =
+        List.fold_left
+          (fun (lo, hi) ps ->
+            let l, h = PS.rank_bounds ps v in
+            (lo + l, hi + h))
+          (0, 0) summaries
+      in
+      let slo = List.fold_left (fun acc ss -> acc +. SS.rank_lower ss v) 0.0 streams in
+      let shi = List.fold_left (fun acc ss -> acc +. SS.rank_upper ss v) 0.0 streams in
+      { US.value = v; lower = float_of_int lo +. slo; upper = float_of_int hi +. shi })
+    values
+  |> Array.of_list
+
+(* Algorithms 5 and 7 and the rank window over the reference records,
+   as linear scans. *)
+let ref_first entries pred =
+  let n = Array.length entries in
+  let rec go i = if i >= n || pred entries.(i) then i else go (i + 1) in
+  go 0
+
+let ref_quick entries r =
+  let j = ref_first entries (fun (e : US.entry) -> e.lower >= r) in
+  entries.(min j (Array.length entries - 1)).value
+
+let ref_filters entries r =
+  let n = Array.length entries in
+  let gt = ref_first entries (fun (e : US.entry) -> e.upper > r) in
+  let u = if gt = 0 then entries.(0).value - 1 else entries.(gt - 1).value in
+  let ge = ref_first entries (fun (e : US.entry) -> e.lower >= r) in
+  let v = if ge = n then entries.(n - 1).value else entries.(ge).value in
+  (u, max u v)
+
+let ref_window entries ~n_total v =
+  let n = Array.length entries in
+  let ge = ref_first entries (fun (e : US.entry) -> e.value >= v) in
+  let lower =
+    if ge < n && entries.(ge).value = v then entries.(ge).lower
+    else if ge = 0 then 0.0
+    else entries.(ge - 1).lower
+  in
+  let upper = if ge = n then float_of_int n_total else entries.(ge).upper in
+  (lower, upper)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let check_against_reference ~seed ~what ~partitions ~streams us =
+  let fail fmt =
+    Printf.ksprintf (fun s -> QCheck.Test.fail_reportf "seed %d, %s: %s" seed what s) fmt
+  in
+  let reference = reference_build ~partitions ~streams in
+  let got = US.entries us in
+  if Array.length got <> Array.length reference then
+    fail "%d entries, reference has %d" (Array.length got) (Array.length reference);
+  Array.iteri
+    (fun i (e : US.entry) ->
+      let r = reference.(i) in
+      if not (e.value = r.value && same_bits e.lower r.lower && same_bits e.upper r.upper) then
+        fail "entry %d: (%d, %h, %h) vs reference (%d, %h, %h)" i e.value e.lower e.upper r.value
+          r.lower r.upper)
+    got;
+  let hist = List.fold_left (fun acc p -> acc + Hsq_hist.Partition.size p) 0 partitions in
+  let m = List.fold_left (fun acc ss -> acc + SS.stream_size ss) 0 streams in
+  if US.hist_elements us <> hist || US.m_stream us <> m || US.n_total us <> hist + m then
+    fail "sizes";
+  let n_total = US.n_total us in
+  if US.size us > 0 then
+    for k = 0 to 40 do
+      let rank = k * (n_total + 1) / 40 in
+      let r = float_of_int rank in
+      if US.quick_select us ~rank <> ref_quick reference r then fail "quick_select %d" rank;
+      if US.filters us ~rank <> ref_filters reference r then fail "filters %d" rank;
+      (* entry values and their neighbours *)
+      let v = reference.(k * (Array.length reference - 1) / 40).value + (k mod 3) - 1 in
+      let lo, hi = US.rank_window us v and rlo, rhi = ref_window reference ~n_total v in
+      if not (same_bits lo rlo && same_bits hi rhi) then fail "rank_window %d" v
+    done
+
+(* One engine with a random history (possibly none) and open stream
+   (possibly empty), on either sketch kind. *)
+let gen_engine rng =
+  let kind = if Hsq_util.Xoshiro.int rng 2 = 0 then `Gk else `Kll in
+  let config =
+    Hsq.Config.make ~kappa:(2 + Hsq_util.Xoshiro.int rng 4) ~block_size:16 ~stream_sketch:kind
+      (Hsq.Config.Epsilon 0.05)
+  in
+  let eng = E.create config in
+  for _ = 1 to Hsq_util.Xoshiro.int rng 6 do
+    Array.iter (E.observe eng) (gen_stream rng (1 + Hsq_util.Xoshiro.int rng 800));
+    ignore (E.end_time_step eng)
+  done;
+  if Hsq_util.Xoshiro.int rng 4 > 0 then
+    Array.iter (E.observe eng) (gen_stream rng (1 + Hsq_util.Xoshiro.int rng 3_000));
+  eng
+
+let prop_builds_match_reference =
+  QCheck.Test.make ~name:"build_from_agg / build_fused equal the per-value reference"
+    ~count:(seed_count 30) qcheck_seed (fun seed ->
+      let rng = Hsq_util.Xoshiro.create seed in
+      let engines = List.init (1 + Hsq_util.Xoshiro.int rng 4) (fun _ -> gen_engine rng) in
+      let parts e = Hsq_hist.Level_index.active_partitions (E.hist e) in
+      let partitions = List.concat_map parts engines in
+      let streams = List.map E.stream_summary engines in
+      let agg = US.hist_aggregate ~partitions in
+      check_against_reference ~seed ~what:"build_fused" ~partitions ~streams
+        (US.build_fused ~agg ~streams);
+      let e0 = List.hd engines in
+      let s0 = E.stream_summary e0 in
+      check_against_reference ~seed ~what:"build_from_agg" ~partitions:(parts e0) ~streams:[ s0 ]
+        (US.build ~partitions:(parts e0) ~stream:s0);
+      List.iter E.close engines;
+      true)
+
 let () =
   Alcotest.run "query_cache"
     [
@@ -222,5 +412,12 @@ let () =
           Alcotest.test_case "crash/recover sequences" `Quick test_recovery_sequences;
           Alcotest.test_case "save/load round trip" `Quick test_save_load_cache;
           Alcotest.test_case "parallel answers identical" `Quick test_parallel_answers_identical;
+        ] );
+      ( "linear miss path",
+        [
+          QCheck_alcotest.to_alcotest prop_query_ranks_per_rank;
+          Alcotest.test_case "query_ranks rejects decreasing ranks" `Quick
+            test_query_ranks_rejects_decreasing;
+          QCheck_alcotest.to_alcotest prop_builds_match_reference;
         ] );
     ]

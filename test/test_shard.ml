@@ -407,6 +407,72 @@ let test_metrics_labels () =
     Alcotest.fail "down shard must be marked in the json dump";
   G.close g
 
+(* --- KLL images under queries ---------------------------------------------
+
+   Queries sort KLL compactor levels in place (stream-summary extraction,
+   snapshots for the fused merge).  That must be unobservable: the
+   sketch images that checkpoints and anti-entropy digests are made of
+   stay byte-identical, even though a read replica has been sorted and
+   its sibling has not. *)
+
+let test_kll_images_stable_under_queries () =
+  let root = temp_dir "hsq_kll_images" in
+  Fun.protect
+    ~finally:(fun () -> try rm_rf root with _ -> ())
+    (fun () ->
+      let cfg =
+        Hsq.Config.make ~kappa:3 ~block_size:32 ~shards:2 ~replicas:2 ~wal_dir:root
+          ~stream_sketch:`Kll (Hsq.Config.Epsilon 0.05)
+      in
+      let g, _ = G.open_or_recover cfg in
+      let rng = Hsq_util.Xoshiro.create 0x1A6E in
+      let feed count =
+        for _ = 1 to count do
+          G.observe g (Hsq_util.Xoshiro.int rng 100_000)
+        done
+      in
+      feed 800;
+      ignore (G.end_time_step g);
+      feed 300;
+      let replicas =
+        List.concat_map
+          (fun shard ->
+            List.filter_map (fun replica -> G.replica_engine g ~shard ~replica) [ 0; 1 ])
+          [ 0; 1 ]
+      in
+      let sketch e = E.stream_sketch e in
+      let images () = List.map (fun e -> Hsq.Stream_sketch.serialize (sketch e)) replicas in
+      let dumps () =
+        List.map
+          (fun e ->
+            Option.fold ~none:"" ~some:Hsq_sketch.Kll.dump (Hsq.Stream_sketch.as_kll (sketch e)))
+          replicas
+      in
+      Alcotest.(check int) "four live replicas" 4 (List.length replicas);
+      let images_before = images () and dumps_before = dumps () in
+      let n = G.total_size g in
+      for k = 1 to 9 do
+        ignore (G.quick g ~rank:(k * n / 10))
+      done;
+      ignore (G.accurate g ~rank:(n / 2));
+      List.iter
+        (fun (_, e) ->
+          ignore (E.stream_summary e);
+          ignore (E.kll_snapshot e))
+        (G.engines g);
+      Alcotest.(check bool) "queries sorted some level in place" true (dumps () <> dumps_before);
+      Alcotest.(check bool) "sketch images unchanged" true (images () = images_before);
+      List.iter
+        (fun (er : G.entropy_report) ->
+          Alcotest.(check int) "both replicas digested" 2 (List.length er.G.digests);
+          match er.G.flagged with
+          | [] -> ()
+          | (j, d) :: _ ->
+            Alcotest.failf "shard %d replica %d flagged: %s" er.G.entropy_shard j d)
+        (G.anti_entropy g);
+      Alcotest.(check (list (pair int int))) "no divergence" [] (G.diverged_replicas g);
+      G.close g)
+
 let () =
   Alcotest.run "shard"
     [
@@ -442,4 +508,9 @@ let () =
             test_recovery_gauges_and_rejoin;
         ] );
       ( "metrics", [ Alcotest.test_case "shard labels" `Quick test_metrics_labels ] );
+      ( "kll images",
+        [
+          Alcotest.test_case "stable under queries, replicas agree" `Quick
+            test_kll_images_stable_under_queries;
+        ] );
     ]

@@ -20,7 +20,13 @@ let test_lemma1_interval () =
   let sorted = Array.copy data in
   Array.sort compare sorted;
   let spacing = eps2 *. float_of_int m in
-  let ivals = SS.intervals ss in
+  (* Entry i's stored interval, read back through the cursor bounds:
+     rlo is the lower bound once entries 0..i are <= v, rhi the upper
+     bound just below entry i (for entry 0 only m is exposed). *)
+  let ivals =
+    Array.init (SS.size ss) (fun i ->
+        (SS.lower_at ss (i + 1), if i = 0 then float_of_int m else SS.upper_at ss i))
+  in
   Array.iteri
     (fun i v ->
       (* The entry's true rank interval must intersect its stored
